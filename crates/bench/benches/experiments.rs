@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use rebound_bench::{run_cell, ExpScale};
+use rebound_bench::{config_for, run_cell, ExpScale};
 use rebound_core::{Machine, Scheme};
 use rebound_engine::{CoreId, Cycle};
 use rebound_workloads::profile_named;
@@ -117,7 +117,9 @@ fn bench_power_table(c: &mut Criterion) {
     let p = profile_named("Radix").unwrap();
     g.bench_function("power_and_characterization", |b| {
         b.iter(|| {
-            let r = run_cell(&p, Scheme::REBOUND, 16, scale());
+            let mut cfg = config_for(Scheme::REBOUND, 16, scale());
+            cfg.fp_study = true;
+            let r = Machine::from_profile(&cfg, &p, scale().quota).run_to_completion();
             let e = rebound_bench::energy_of(&r, &Default::default());
             black_box((
                 e.avg_power_w,

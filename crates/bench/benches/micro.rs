@@ -16,7 +16,7 @@ use rebound_mem::{
 fn bench_wsig(c: &mut Criterion) {
     let mut g = c.benchmark_group("wsig");
     g.bench_function("insert_1024b", |b| {
-        let mut w = Wsig::new(1024, 2);
+        let mut w = Wsig::new(1024, 2, false);
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
@@ -24,25 +24,25 @@ fn bench_wsig(c: &mut Criterion) {
         });
     });
     g.bench_function("lookup_hit", |b| {
-        let mut w = Wsig::new(1024, 2);
+        let mut w = Wsig::new(1024, 2, false);
         for i in 0..128 {
             w.insert(LineAddr(i));
         }
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(w.peek(LineAddr(i % 128)))
+            black_box(w.contains(LineAddr(i % 128)))
         });
     });
     g.bench_function("lookup_miss", |b| {
-        let mut w = Wsig::new(1024, 2);
+        let mut w = Wsig::new(1024, 2, false);
         for i in 0..128 {
             w.insert(LineAddr(i));
         }
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            black_box(w.peek(LineAddr(10_000 + i % 4096)))
+            black_box(w.contains(LineAddr(10_000 + i % 4096)))
         });
     });
     g.finish();
@@ -51,7 +51,7 @@ fn bench_wsig(c: &mut Criterion) {
 fn bench_depregs(c: &mut Criterion) {
     let mut g = c.benchmark_group("depregs");
     g.bench_function("reverse_age_match", |b| {
-        let mut f = DepRegFile::new(4, 1024, 2);
+        let mut f = DepRegFile::new(4, 1024, 2, false);
         f.active_mut().wsig.insert(LineAddr(7));
         f.rotate(Cycle(0), 100).unwrap();
         f.active_mut().wsig.insert(LineAddr(7));
@@ -59,7 +59,7 @@ fn bench_depregs(c: &mut Criterion) {
     });
     g.bench_function("rotate_reclaim", |b| {
         b.iter_batched(
-            || DepRegFile::new(4, 1024, 2),
+            || DepRegFile::new(4, 1024, 2, false),
             |mut f| {
                 f.rotate(Cycle(0), 10).unwrap();
                 f.complete(0, Cycle(1));

@@ -40,6 +40,7 @@ fn wsig_sweep(scale: ExpScale) {
     for bits in [128usize, 256, 512, 1024, 2048] {
         let mut cfg = config_for(Scheme::REBOUND, CORES, scale);
         cfg.wsig_bits = bits;
+        cfg.fp_study = true;
         let r = Machine::from_profile(&cfg, &p, scale.quota).run_to_completion();
         t.row([
             bits.to_string(),

@@ -6,10 +6,10 @@
 //! Paper averages: +2.0% ICHK from false positives, 7.2 MB log,
 //! +4.2% coherence messages.
 
-use rebound_core::Scheme;
+use rebound_core::{Machine, Scheme};
 use rebound_workloads::{all_profiles, Suite};
 
-use crate::{run_cell, ExpScale, Table};
+use crate::{config_for, ExpScale, Table};
 
 use super::{PARSEC_CORES, SPLASH_CORES};
 
@@ -31,7 +31,9 @@ pub fn run(scale: ExpScale) -> Table {
         } else {
             PARSEC_CORES
         };
-        let r = run_cell(&p, Scheme::REBOUND, cores, scale);
+        let mut cfg = config_for(Scheme::REBOUND, cores, scale);
+        cfg.fp_study = true;
+        let r = Machine::from_profile(&cfg, &p, scale.quota).run_to_completion();
         let fp_pct = r.metrics.ichk_fp_increase_percent();
         // Max per-processor interval bytes scaled to machine-wide MB at
         // the paper's interval length.

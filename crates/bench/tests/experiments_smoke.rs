@@ -102,6 +102,9 @@ fn fig6_8_power_orders_schemes() {
 #[test]
 fn table6_1_covers_all_18_apps() {
     let t = e::table6_1::run(scale());
+    // The whole table, byte for byte: its FP column has non-zero rows
+    // (FFT 0.9), so a run without the WSIG false-positive study fails.
+    assert_eq!(t.render(), include_str!("golden/table6_1_tiny.txt"));
     let r = rows(&t);
     assert_eq!(r.len(), 19, "18 apps + average");
     for row in &r {

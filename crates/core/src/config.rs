@@ -261,6 +261,16 @@ pub struct MachineConfig {
     pub wsig_bits: usize,
     /// Hash functions per WSIG insertion.
     pub wsig_hashes: usize,
+    /// Runs the WSIG false-positive study (Table 6.1 row 1) alongside the
+    /// simulation; off by default. The study is measurement, not hardware:
+    /// each WSIG carries an exact shadow set of its lines, every dependence
+    /// recording also updates exact-oracle Dep copies, and every
+    /// checkpoint closes both the Bloom-edge and the oracle-edge static
+    /// interaction sets into `ichk_bloom_sizes`/`ichk_oracle_sizes`.
+    /// Protocol decisions use only the Bloom bits, so every other statistic
+    /// is identical either way; off, those two samples stay empty and a
+    /// tracked store does no hash-set work.
+    pub fp_study: bool,
     /// Minimum cycles between background delayed writebacks (rate control,
     /// §4.1); the engine slows further when the memory backlog is high.
     pub drain_gap: u64,
@@ -305,6 +315,7 @@ impl MachineConfig {
             dep_cluster: 1,
             wsig_bits: 1024,
             wsig_hashes: 2,
+            fp_study: false,
             drain_gap: 16,
             spin_retry: 50,
             backoff_cycles: 2_000,

@@ -34,7 +34,9 @@ pub enum DepSetState {
 }
 
 /// One Dep register set: the paper's `MyProducers`, `MyConsumers` and
-/// `WSIG`, plus exact oracle copies used only for false-positive metrics.
+/// `WSIG`, plus exact oracle copies that only the WSIG false-positive
+/// study ([`MachineConfig::fp_study`](crate::MachineConfig::fp_study))
+/// writes.
 #[derive(Clone, Debug)]
 pub struct DepSet {
     /// Bit j set ⇔ processor j produced data this interval that we consumed.
@@ -43,9 +45,10 @@ pub struct DepSet {
     pub my_consumers: CoreSet,
     /// Bloom signature of lines written (or read exclusively) this interval.
     pub wsig: Wsig,
-    /// Oracle producers (dependences recorded without WSIG aliasing).
+    /// Oracle producers (dependences recorded without WSIG aliasing;
+    /// false-positive study only, empty otherwise).
     pub oracle_producers: CoreSet,
-    /// Oracle consumers.
+    /// Oracle consumers (false-positive study only, empty otherwise).
     pub oracle_consumers: CoreSet,
     /// Lifecycle state.
     pub state: DepSetState,
@@ -54,11 +57,11 @@ pub struct DepSet {
 }
 
 impl DepSet {
-    fn new(wsig_bits: usize, wsig_hashes: usize) -> DepSet {
+    fn new(wsig_bits: usize, wsig_hashes: usize, fp_study: bool) -> DepSet {
         DepSet {
             my_producers: CoreSet::new(),
             my_consumers: CoreSet::new(),
-            wsig: Wsig::new(wsig_bits, wsig_hashes),
+            wsig: Wsig::new(wsig_bits, wsig_hashes, fp_study),
             oracle_producers: CoreSet::new(),
             oracle_consumers: CoreSet::new(),
             state: DepSetState::Free,
@@ -85,7 +88,7 @@ impl DepSet {
 /// use rebound_core::DepRegFile;
 /// use rebound_engine::{Cycle, LineAddr};
 ///
-/// let mut f = DepRegFile::new(4, 1024, 2);
+/// let mut f = DepRegFile::new(4, 1024, 2, false);
 /// f.active_mut().wsig.insert(LineAddr(9));
 /// assert_eq!(f.wsig_match_reverse_age(LineAddr(9)), Some(0));
 /// assert!(f.rotate(Cycle(100), 1_000).is_some()); // plenty of free sets
@@ -101,16 +104,17 @@ pub struct DepRegFile {
 
 impl DepRegFile {
     /// Creates a file of `nsets` sets (paper: 4), set 0 active for
-    /// interval 0.
+    /// interval 0. `fp_study` gives every WSIG its exact shadow set (see
+    /// [`MachineConfig::fp_study`](crate::MachineConfig::fp_study)).
     ///
     /// # Panics
     ///
     /// Panics if `nsets < 2` — delayed writebacks alone require a
     /// secondary set (§4.1).
-    pub fn new(nsets: usize, wsig_bits: usize, wsig_hashes: usize) -> DepRegFile {
+    pub fn new(nsets: usize, wsig_bits: usize, wsig_hashes: usize, fp_study: bool) -> DepRegFile {
         assert!(nsets >= 2, "need at least a primary and secondary Dep set");
         let mut sets: Vec<DepSet> = (0..nsets)
-            .map(|_| DepSet::new(wsig_bits, wsig_hashes))
+            .map(|_| DepSet::new(wsig_bits, wsig_hashes, fp_study))
             .collect();
         sets[0].state = DepSetState::Active;
         DepRegFile {
@@ -138,17 +142,6 @@ impl DepRegFile {
     /// Mutable access to the active set.
     pub fn active_mut(&mut self) -> &mut DepSet {
         &mut self.sets[self.active]
-    }
-
-    /// All sets, newest interval first, skipping `Free` ones.
-    pub fn in_use_newest_first(&self) -> impl Iterator<Item = &DepSet> {
-        let mut v: Vec<&DepSet> = self
-            .sets
-            .iter()
-            .filter(|s| s.state != DepSetState::Free)
-            .collect();
-        v.sort_by_key(|s| std::cmp::Reverse(s.interval));
-        v.into_iter()
     }
 
     /// Reclaims every `Complete` set whose completion is at least
@@ -201,28 +194,33 @@ impl DepRegFile {
 
     /// WSIG membership by reverse age (§4.2, first event): checks the
     /// newest interval first and returns the index into the file of the
-    /// first set whose signature matches, if any. Counts false positives
-    /// in the matching set.
-    pub fn wsig_match_reverse_age(&mut self, addr: LineAddr) -> Option<usize> {
-        let mut order: Vec<usize> = (0..self.sets.len())
-            .filter(|&i| self.sets[i].state != DepSetState::Free)
-            .collect();
-        order.sort_by(|&a, &b| self.sets[b].interval.cmp(&self.sets[a].interval));
-        order
-            .into_iter()
-            .find(|&i| self.sets[i].wsig.contains(addr))
+    /// first set whose signature matches, if any.
+    pub fn wsig_match_reverse_age(&self, addr: LineAddr) -> Option<usize> {
+        self.newest_match(|w| w.contains(addr))
     }
 
     /// Exact-oracle version of [`Self::wsig_match_reverse_age`] (metrics
-    /// only; no false positives possible).
+    /// only; no false positives possible; never matches without the
+    /// false-positive study's shadow sets).
     pub fn exact_match_reverse_age(&self, addr: LineAddr) -> Option<usize> {
-        let mut order: Vec<usize> = (0..self.sets.len())
-            .filter(|&i| self.sets[i].state != DepSetState::Free)
-            .collect();
-        order.sort_by(|&a, &b| self.sets[b].interval.cmp(&self.sets[a].interval));
-        order
-            .into_iter()
-            .find(|&i| self.sets[i].wsig.exact_contains(addr))
+        self.newest_match(|w| w.exact_contains(addr))
+    }
+
+    /// The in-use set with the highest interval whose WSIG satisfies
+    /// `hit`; on equal intervals the lower index wins. A single pass over
+    /// the (≤ `dep_sets`) sets: a set is probed only if it would beat the
+    /// current best, so nothing is allocated or sorted.
+    fn newest_match(&self, hit: impl Fn(&Wsig) -> bool) -> Option<usize> {
+        let mut best: Option<(usize, u64)> = None;
+        for (i, s) in self.sets.iter().enumerate() {
+            if s.state != DepSetState::Free
+                && best.is_none_or(|(_, newest)| s.interval > newest)
+                && hit(&s.wsig)
+            {
+                best = Some((i, s.interval));
+            }
+        }
+        best.map(|(i, _)| i)
     }
 
     /// Direct access to set `i`.
@@ -254,11 +252,6 @@ impl DepRegFile {
             .fold(CoreSet::new(), |acc, s| acc.union(s.my_producers))
     }
 
-    /// Total WSIG false-positive hits across sets.
-    pub fn false_positive_hits(&self) -> u64 {
-        self.sets.iter().map(|s| s.wsig.false_positive_hits()).sum()
-    }
-
     /// Rollback reset (§3.3.5): clears *every* set and restarts the file
     /// with a single active set for `interval`.
     pub fn reset_all(&mut self, interval: u64) {
@@ -283,7 +276,7 @@ mod tests {
     use rebound_engine::CoreId;
 
     fn file() -> DepRegFile {
-        DepRegFile::new(4, 256, 2)
+        DepRegFile::new(4, 256, 2, false)
     }
 
     #[test]
@@ -297,7 +290,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least a primary and secondary")]
     fn one_set_is_not_enough() {
-        DepRegFile::new(1, 64, 1);
+        DepRegFile::new(1, 64, 1, false);
     }
 
     #[test]
@@ -387,28 +380,59 @@ mod tests {
         assert!(f.active().my_producers.is_empty());
         assert_eq!(f.wsig_match_reverse_age(LineAddr(1)), None);
         assert_eq!(
-            f.in_use_newest_first().count(),
+            (0..f.len())
+                .filter(|&i| f.set(i).state != DepSetState::Free)
+                .count(),
             1,
             "only the fresh active set remains in use"
         );
     }
 
     #[test]
-    fn in_use_newest_first_orders_by_interval() {
+    fn reverse_age_search_orders_by_interval_then_index() {
         let mut f = file();
+        // Intervals 0, 1, 2 in sets 0, 1, 2; set 3 free.
         f.rotate(Cycle(0), 1_000).unwrap();
         f.rotate(Cycle(0), 1_000).unwrap();
-        let intervals: Vec<u64> = f.in_use_newest_first().map(|s| s.interval).collect();
-        assert_eq!(intervals, vec![2, 1, 0]);
+        for i in 0..3 {
+            f.set_mut(i).wsig.insert(LineAddr(4));
+        }
+        assert_eq!(f.wsig_match_reverse_age(LineAddr(4)), Some(2));
+        // Recycle set 0 as the newest interval: index order no longer
+        // follows age.
+        f.complete(0, Cycle(0));
+        f.rotate(Cycle(1_000), 1_000).unwrap();
+        assert_eq!(f.active().interval, 3);
+        assert_eq!(f.wsig_match_reverse_age(LineAddr(4)), Some(2));
+        f.active_mut().wsig.insert(LineAddr(4));
+        assert_eq!(f.wsig_match_reverse_age(LineAddr(4)), Some(0));
+        // Equal intervals: the lower index wins.
+        f.set_mut(3).state = DepSetState::Draining;
+        f.set_mut(3).interval = 3;
+        f.set_mut(3).wsig.insert(LineAddr(4));
+        assert_eq!(f.wsig_match_reverse_age(LineAddr(4)), Some(0));
+        f.set_mut(1).interval = 3;
+        f.set_mut(1).wsig.insert(LineAddr(8));
+        f.set_mut(3).wsig.insert(LineAddr(8));
+        assert_eq!(f.wsig_match_reverse_age(LineAddr(8)), Some(1));
     }
 
     #[test]
     fn exact_match_never_false_positives() {
-        let mut f = DepRegFile::new(2, 8, 4); // tiny, alias-prone bloom
+        let mut f = DepRegFile::new(2, 8, 4, true); // tiny, alias-prone bloom
         for i in 0..64 {
             f.active_mut().wsig.insert(LineAddr(i));
         }
         assert_eq!(f.exact_match_reverse_age(LineAddr(999)), None);
         assert!(f.exact_match_reverse_age(LineAddr(5)).is_some());
+    }
+
+    #[test]
+    fn exact_match_needs_the_fp_study() {
+        let mut f = file();
+        f.active_mut().wsig.insert(LineAddr(5));
+        assert_eq!(f.wsig_match_reverse_age(LineAddr(5)), Some(0));
+        assert_eq!(f.exact_match_reverse_age(LineAddr(5)), None);
+        assert_eq!(f.active().wsig.exact_len(), 0);
     }
 }

@@ -269,7 +269,7 @@ impl Machine {
                     l.state = MesiState::Shared;
                     l.delayed = false;
                 }
-                self.record_dependence(owner, requester, line, false);
+                self.record_dependence(owner, requester, line);
                 let mut e = self.dir.entry_mut(id);
                 e.set_owner(None);
                 e.set_dirty(false);
@@ -401,7 +401,7 @@ impl Machine {
                     let interval = self.cores[owner.index()].drain.interval;
                     self.memory_writeback(owner, line, value, interval, MemAccessClass::Checkpoint);
                 }
-                self.record_dependence(owner, writer, line, false);
+                self.record_dependence(owner, writer, line);
                 self.cores[owner.index()].l1.invalidate(line);
                 self.cores[owner.index()].l2.invalidate(line);
                 fetched = true;
@@ -451,10 +451,9 @@ impl Machine {
     fn lw_query(&mut self, last_writer: CoreId, requester: CoreId, line: LineAddr, id: LineId) {
         self.msgs.record(MsgKind::LwQuery);
         self.metrics.wsig_ops.incr();
-        let hit = {
-            let w = &mut self.cores[last_writer.index()];
-            w.dep.wsig_match_reverse_age(line)
-        };
+        let hit = self.cores[last_writer.index()]
+            .dep
+            .wsig_match_reverse_age(line);
         let requester_bit = self.dep_bit_of(requester);
         let writer_bit = self.dep_bit_of(last_writer);
         match hit {
@@ -465,22 +464,7 @@ impl Machine {
                     .set_mut(set_idx)
                     .my_consumers
                     .insert(requester_bit);
-                // Oracle bookkeeping (exact, for the FP study).
-                if let Some(exact_idx) = self.cores[last_writer.index()]
-                    .dep
-                    .exact_match_reverse_age(line)
-                {
-                    self.cores[last_writer.index()]
-                        .dep
-                        .set_mut(exact_idx)
-                        .oracle_consumers
-                        .insert(requester_bit);
-                    self.cores[requester.index()]
-                        .dep
-                        .active_mut()
-                        .oracle_producers
-                        .insert(writer_bit);
-                }
+                self.record_oracle_dependence(last_writer, requester, line);
             }
             None => {
                 self.msgs.record(MsgKind::NoWr);
@@ -495,22 +479,16 @@ impl Machine {
             .insert(writer_bit);
     }
 
-    /// Dependence recording when the supplier itself forwards the data
-    /// (owner-forward paths): rides on existing protocol messages, so no
-    /// extra traffic is counted.
     /// Whether dependence tracking applies to `line` (scheme + runtime
     /// switch + untracked address ranges).
     pub(crate) fn tracks_line(&self, line: LineAddr) -> bool {
         self.tracks_addr(line.base(self.geom))
     }
 
-    fn record_dependence(
-        &mut self,
-        supplier: CoreId,
-        requester: CoreId,
-        line: LineAddr,
-        _count_extra: bool,
-    ) {
+    /// Dependence recording when the supplier itself forwards the data
+    /// (owner-forward paths): rides on existing protocol messages, so no
+    /// extra traffic is counted.
+    fn record_dependence(&mut self, supplier: CoreId, requester: CoreId, line: LineAddr) {
         if supplier == requester || !self.tracks_line(line) {
             return;
         }
@@ -526,26 +504,39 @@ impl Machine {
                 .set_mut(set_idx)
                 .my_consumers
                 .insert(requester_bit);
-            if let Some(exact_idx) = self.cores[supplier.index()]
-                .dep
-                .exact_match_reverse_age(line)
-            {
-                self.cores[supplier.index()]
-                    .dep
-                    .set_mut(exact_idx)
-                    .oracle_consumers
-                    .insert(requester_bit);
-                self.cores[requester.index()]
-                    .dep
-                    .active_mut()
-                    .oracle_producers
-                    .insert(supplier_bit);
-            }
+            self.record_oracle_dependence(supplier, requester, line);
         }
         self.cores[requester.index()]
             .dep
             .active_mut()
             .my_producers
+            .insert(supplier_bit);
+    }
+
+    /// The false-positive study's exact-oracle copy of a Bloom-recorded
+    /// `supplier → requester` edge: recorded only if `supplier` really
+    /// wrote `line`, and only under [`crate::MachineConfig::fp_study`].
+    fn record_oracle_dependence(&mut self, supplier: CoreId, requester: CoreId, line: LineAddr) {
+        if !self.cfg.fp_study {
+            return;
+        }
+        let Some(exact_idx) = self.cores[supplier.index()]
+            .dep
+            .exact_match_reverse_age(line)
+        else {
+            return;
+        };
+        let requester_bit = self.dep_bit_of(requester);
+        let supplier_bit = self.dep_bit_of(supplier);
+        self.cores[supplier.index()]
+            .dep
+            .set_mut(exact_idx)
+            .oracle_consumers
+            .insert(requester_bit);
+        self.cores[requester.index()]
+            .dep
+            .active_mut()
+            .oracle_producers
             .insert(supplier_bit);
     }
 }

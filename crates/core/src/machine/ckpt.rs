@@ -217,9 +217,7 @@ impl Machine {
     /// single-member episode — no interaction set to collect.
     pub(crate) fn take_epoch_snapshot(&mut self, core: CoreId, for_io: bool) {
         let epoch = self.cores[core.index()].epoch;
-        self.metrics.ichk_sizes.push(1.0);
-        self.metrics.ichk_bloom_sizes.push(1.0);
-        self.metrics.ichk_oracle_sizes.push(1.0);
+        self.push_fixed_ichk(1.0);
         self.begin_member_wb(core, WbKind::Epoch { epoch, for_io });
     }
 
@@ -387,12 +385,12 @@ impl Machine {
         // compares *static* closures — bloom-recorded edges vs exact-oracle
         // edges — so both sides share the protocol's timing dynamics.
         self.metrics.ichk_sizes.push(ichk.len() as f64);
-        self.metrics
-            .ichk_bloom_sizes
-            .push(self.static_ichk(core, false).len() as f64);
-        self.metrics
-            .ichk_oracle_sizes
-            .push(self.static_ichk(core, true).len() as f64);
+        if self.cfg.fp_study {
+            let bloom = self.static_ichk(core, false).len() as f64;
+            let oracle = self.static_ichk(core, true).len() as f64;
+            self.metrics.ichk_bloom_sizes.push(bloom);
+            self.metrics.ichk_oracle_sizes.push(oracle);
+        }
 
         for m in ichk.iter() {
             if m == core {
@@ -440,10 +438,21 @@ impl Machine {
         }
     }
 
+    /// Samples an episode whose interaction set the scheme fixes at `size`
+    /// members: the live set and, under the false-positive study, both
+    /// static closures.
+    fn push_fixed_ichk(&mut self, size: f64) {
+        self.metrics.ichk_sizes.push(size);
+        if self.cfg.fp_study {
+            self.metrics.ichk_bloom_sizes.push(size);
+            self.metrics.ichk_oracle_sizes.push(size);
+        }
+    }
+
     /// Static interaction-set closure over the recorded producer edges
     /// (bloom-based registers, or the exact oracle copies when `oracle`),
     /// with the consumer-validation mirroring the Decline rule. Used only
-    /// for the false-positive metrics; the live set is built by the
+    /// by the false-positive study; the live set is built by the
     /// distributed protocol. Under `Rebound_Cluster` the checkpoint unit
     /// is the static cluster itself, closure-free by construction.
     fn static_ichk(&self, initiator: CoreId, oracle: bool) -> CoreSet {
@@ -856,9 +865,7 @@ impl Machine {
         self.global.active = true;
         self.global.coordinator = Some(coordinator);
         self.global.wb_done = CoreSet::new();
-        self.metrics.ichk_sizes.push(self.cores.len() as f64);
-        self.metrics.ichk_bloom_sizes.push(self.cores.len() as f64);
-        self.metrics.ichk_oracle_sizes.push(self.cores.len() as f64);
+        self.push_fixed_ichk(self.cores.len() as f64);
         self.block_ckpt(coordinator, OverheadKind::Sync);
         let n = self.cores.len();
         for i in 0..n {
@@ -993,9 +1000,7 @@ impl Machine {
         // With the optimization, processors leave the barrier with an
         // interaction set of just {self, flag-setter} — reflected in
         // the stats as per-processor sets of size ~2.
-        self.metrics.ichk_sizes.push(2.0);
-        self.metrics.ichk_bloom_sizes.push(2.0);
-        self.metrics.ichk_oracle_sizes.push(2.0);
+        self.push_fixed_ichk(2.0);
         self.barrier.barck_active = false;
         self.barrier.barck_initiator = None;
         let n = self.cores.len();

@@ -426,7 +426,12 @@ impl Machine {
 
                     l1: SetAssoc::new(cfg.l1),
                     l2: SetAssoc::new(cfg.l2),
-                    dep: DepRegFile::new(cfg.dep_sets.max(2), cfg.wsig_bits, cfg.wsig_hashes),
+                    dep: DepRegFile::new(
+                        cfg.dep_sets.max(2),
+                        cfg.wsig_bits,
+                        cfg.wsig_hashes,
+                        cfg.fp_study,
+                    ),
                     store_seq: 0,
                     role: EpisodeState::Idle,
                     drain: DrainState::default(),
@@ -649,6 +654,11 @@ impl Machine {
     /// The `MyConsumers` of `core`'s current interval (test introspection).
     pub fn my_consumers(&self, core: CoreId) -> CoreSet {
         self.cores[core.index()].dep.active().my_consumers
+    }
+
+    /// `core`'s Dep register file (test introspection).
+    pub fn dep_regs(&self, core: CoreId) -> &DepRegFile {
+        &self.cores[core.index()].dep
     }
 
     /// Completed checkpoints (stubs written) of `core`.

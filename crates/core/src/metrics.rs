@@ -77,10 +77,12 @@ pub struct MachineMetrics {
     /// (Figs 6.1/6.2).
     pub ichk_sizes: RunningStats,
     /// Static-closure ICHK sizes over the bloom-recorded dependence edges
-    /// (same timing dynamics as the oracle closure below).
+    /// (same timing dynamics as the oracle closure below). Sampled only
+    /// under [`MachineConfig::fp_study`](crate::MachineConfig::fp_study).
     pub ichk_bloom_sizes: RunningStats,
     /// Static-closure ICHK sizes over the exact-oracle dependence sets —
-    /// the WSIG false-positive study of Table 6.1 row 1.
+    /// the WSIG false-positive study of Table 6.1 row 1. Sampled only
+    /// under [`MachineConfig::fp_study`](crate::MachineConfig::fp_study).
     pub ichk_oracle_sizes: RunningStats,
     /// Cycles between consecutive checkpoints of the same processor
     /// (Fig 6.7's y-axis).
@@ -132,14 +134,11 @@ impl MachineMetrics {
         100.0 * self.ichk_sizes.mean() / ncores as f64
     }
 
-    /// Mean oracle ICHK percentage.
-    pub fn ichk_oracle_percent(&self, ncores: usize) -> f64 {
-        100.0 * self.ichk_oracle_sizes.mean() / ncores as f64
-    }
-
     /// Percentage increase in ICHK attributable to WSIG false positives
     /// (Table 6.1 row 1): the bloom-edge closure versus the exact-oracle
-    /// closure. False positives only ever add edges, so this is ≥ 0.
+    /// closure. False positives only ever add edges, so this is ≥ 0; it is
+    /// 0 unless the run had
+    /// [`MachineConfig::fp_study`](crate::MachineConfig::fp_study) on.
     pub fn ichk_fp_increase_percent(&self) -> f64 {
         let oracle = self.ichk_oracle_sizes.mean();
         if oracle == 0.0 {

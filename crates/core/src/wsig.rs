@@ -7,14 +7,18 @@
 //! interval". Membership tests can produce false positives (which only add
 //! spurious dependences) but never false negatives.
 //!
-//! To measure the cost of false positives (Table 6.1, row 1), the model
-//! optionally carries an exact shadow set alongside the bits; the protocol
-//! *decisions* always use the bloom bits, the shadow only feeds metrics.
+//! A signature is just those bits. Only the WSIG false-positive study
+//! (Table 6.1 row 1, [`MachineConfig::fp_study`]) builds signatures with an
+//! exact shadow set of the inserted lines, so that it can tell real
+//! dependences from aliased ones; the protocol *decisions* always use the
+//! bloom bits, the shadow only feeds metrics.
+//!
+//! [`MachineConfig::fp_study`]: crate::MachineConfig::fp_study
 
 use rebound_engine::{FxHashSet, LineAddr};
 
-/// A Bloom-filter write signature with an exact shadow set for
-/// false-positive accounting.
+/// A Bloom-filter write signature, optionally with an exact shadow set
+/// for the false-positive study.
 ///
 /// # Example
 ///
@@ -22,18 +26,21 @@ use rebound_engine::{FxHashSet, LineAddr};
 /// use rebound_core::Wsig;
 /// use rebound_engine::LineAddr;
 ///
-/// let mut w = Wsig::new(1024, 2);
+/// let mut w = Wsig::new(1024, 2, false);
 /// w.insert(LineAddr(42));
 /// assert!(w.contains(LineAddr(42)));   // no false negatives, ever
-/// assert!(w.exact_contains(LineAddr(42)));
+/// assert_eq!(w.exact_len(), 0);        // no shadow: just the bloom bits
+///
+/// let mut s = Wsig::new(1024, 2, true);
+/// s.insert(LineAddr(42));
+/// assert!(s.exact_contains(LineAddr(42)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Wsig {
     bits: Vec<u64>,
     nbits: usize,
     hashes: usize,
-    exact: FxHashSet<LineAddr>,
-    false_positive_hits: u64,
+    exact: Option<FxHashSet<LineAddr>>,
 }
 
 /// Two independent SplitMix64 finalizations of `addr`, feeding the
@@ -53,19 +60,19 @@ fn hash_pair(addr: LineAddr) -> (u64, u64) {
 
 impl Wsig {
     /// Creates an empty signature of `nbits` bits probed by `hashes` hash
-    /// functions per operation.
+    /// functions per operation, with an exact shadow set of the inserted
+    /// lines when `exact_shadow` (the false-positive study only).
     ///
     /// # Panics
     ///
     /// Panics if `nbits` or `hashes` is zero.
-    pub fn new(nbits: usize, hashes: usize) -> Wsig {
+    pub fn new(nbits: usize, hashes: usize, exact_shadow: bool) -> Wsig {
         assert!(nbits > 0 && hashes > 0, "WSIG needs bits and hashes");
         Wsig {
             bits: vec![0; nbits.div_ceil(64)],
             nbits,
             hashes,
-            exact: FxHashSet::default(),
-            false_positive_hits: 0,
+            exact: exact_shadow.then(FxHashSet::default),
         }
     }
 
@@ -78,22 +85,15 @@ impl Wsig {
             let p = (h1.wrapping_add(i.wrapping_mul(h2)) % n) as usize;
             self.bits[p / 64] |= 1 << (p % 64);
         }
-        self.exact.insert(addr);
-    }
-
-    /// Bloom membership test — the answer the *hardware* gives. A `true`
-    /// for a line not actually written is counted as a false-positive hit.
-    pub fn contains(&mut self, addr: LineAddr) -> bool {
-        let hit = self.peek(addr);
-        if hit && !self.exact.contains(&addr) {
-            self.false_positive_hits += 1;
+        if let Some(exact) = &mut self.exact {
+            exact.insert(addr);
         }
-        hit
     }
 
-    /// Non-mutating bloom test (no false-positive accounting).
+    /// Bloom membership test — the answer the *hardware* gives, false
+    /// positives included.
     #[inline]
-    pub fn peek(&self, addr: LineAddr) -> bool {
+    pub fn contains(&self, addr: LineAddr) -> bool {
         let (h1, h2) = hash_pair(addr);
         let n = self.nbits as u64;
         (0..self.hashes as u64).all(|i| {
@@ -102,31 +102,30 @@ impl Wsig {
         })
     }
 
-    /// Exact membership — the oracle used only for metrics.
+    /// Exact membership — the oracle used only for metrics. Always `false`
+    /// without the shadow.
     pub fn exact_contains(&self, addr: LineAddr) -> bool {
-        self.exact.contains(&addr)
+        self.exact.as_ref().is_some_and(|e| e.contains(&addr))
     }
 
-    /// Lines actually written this interval.
+    /// Lines actually written this interval, as the shadow saw them (0
+    /// without the shadow).
     pub fn exact_len(&self) -> usize {
-        self.exact.len()
-    }
-
-    /// Queries answered `true` for lines never written (so far).
-    pub fn false_positive_hits(&self) -> u64 {
-        self.false_positive_hits
+        self.exact.as_ref().map_or(0, |e| e.len())
     }
 
     /// Clears the signature — done "at the beginning of every checkpoint
-    /// interval" (§3.3.2). False-positive accounting survives clears.
+    /// interval" (§3.3.2).
     pub fn clear(&mut self) {
         self.bits.iter_mut().for_each(|w| *w = 0);
-        self.exact.clear();
+        if let Some(exact) = &mut self.exact {
+            exact.clear();
+        }
     }
 
     /// Whether the signature holds no writes.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty() && self.bits.iter().all(|&w| w == 0)
+        self.bits.iter().all(|&w| w == 0)
     }
 
     /// Signature capacity in bits.
@@ -139,9 +138,16 @@ impl Wsig {
 mod tests {
     use super::*;
 
+    /// Queries `0..n` offset by `from`, counting bloom hits.
+    fn hits(w: &Wsig, from: u64, n: u64) -> usize {
+        (from..from + n)
+            .filter(|&i| w.contains(LineAddr(i)))
+            .count()
+    }
+
     #[test]
     fn no_false_negatives_ever() {
-        let mut w = Wsig::new(256, 2);
+        let mut w = Wsig::new(256, 2, false);
         for i in 0..1000 {
             w.insert(LineAddr(i * 7));
         }
@@ -152,55 +158,42 @@ mod tests {
 
     #[test]
     fn empty_signature_matches_nothing() {
-        let mut w = Wsig::new(1024, 2);
-        for i in 0..1000 {
-            assert!(!w.contains(LineAddr(i)));
-        }
-        assert_eq!(w.false_positive_hits(), 0);
+        let w = Wsig::new(1024, 2, false);
+        assert_eq!(hits(&w, 0, 1000), 0);
         assert!(w.is_empty());
     }
 
     #[test]
-    fn clear_resets_membership_but_not_fp_stats() {
-        let mut w = Wsig::new(64, 2);
+    fn clear_resets_membership() {
+        let mut w = Wsig::new(64, 2, true);
         for i in 0..200 {
             w.insert(LineAddr(i));
         }
         // A small, saturated filter: unqueried lines will false-positive.
-        let mut fp = 0;
-        for i in 1000..1100 {
-            if w.contains(LineAddr(i)) {
-                fp += 1;
-            }
-        }
-        assert!(fp > 0, "a saturated 64-bit filter must alias");
-        assert_eq!(w.false_positive_hits(), fp);
+        assert!(
+            hits(&w, 1000, 100) > 0,
+            "a saturated 64-bit filter must alias"
+        );
         w.clear();
         assert!(w.is_empty());
+        assert_eq!(w.exact_len(), 0);
         assert!(!w.contains(LineAddr(5)));
-        assert_eq!(w.false_positive_hits(), fp, "stats survive clear");
     }
 
     #[test]
     fn false_positive_rate_is_low_at_paper_size() {
         // 1024 bits, 2 hashes, ~100 written lines -> FP rate well under 10%.
-        let mut w = Wsig::new(1024, 2);
+        let mut w = Wsig::new(1024, 2, false);
         for i in 0..100 {
             w.insert(LineAddr(i));
         }
-        let mut fp = 0;
-        for i in 10_000..20_000 {
-            if w.contains(LineAddr(i)) {
-                fp += 1;
-            }
-        }
-        let rate = fp as f64 / 10_000.0;
+        let rate = hits(&w, 10_000, 10_000) as f64 / 10_000.0;
         assert!(rate < 0.10, "FP rate {rate} too high for 1024-bit WSIG");
     }
 
     #[test]
     fn exact_shadow_tracks_truth() {
-        let mut w = Wsig::new(1024, 2);
+        let mut w = Wsig::new(1024, 2, true);
         w.insert(LineAddr(1));
         assert!(w.exact_contains(LineAddr(1)));
         assert!(!w.exact_contains(LineAddr(2)));
@@ -208,36 +201,29 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_count_fps() {
-        let mut w = Wsig::new(8, 4);
-        for i in 0..64 {
-            w.insert(LineAddr(i));
-        }
-        let before = w.false_positive_hits();
-        let _ = w.peek(LineAddr(9999));
-        assert_eq!(w.false_positive_hits(), before);
+    fn without_shadow_only_bloom_bits_remain() {
+        let mut w = Wsig::new(1024, 2, false);
+        w.insert(LineAddr(1));
+        assert!(w.contains(LineAddr(1)));
+        assert!(!w.exact_contains(LineAddr(1)));
+        assert_eq!(w.exact_len(), 0);
+        assert!(!w.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "bits and hashes")]
     fn zero_bits_rejected() {
-        Wsig::new(0, 2);
+        Wsig::new(0, 2, false);
     }
 
     #[test]
     fn smaller_filters_alias_more() {
         let count_fp = |bits: usize| {
-            let mut w = Wsig::new(bits, 2);
+            let mut w = Wsig::new(bits, 2, false);
             for i in 0..256 {
                 w.insert(LineAddr(i));
             }
-            let mut fp = 0;
-            for i in 100_000..110_000 {
-                if w.contains(LineAddr(i)) {
-                    fp += 1;
-                }
-            }
-            fp
+            hits(&w, 100_000, 10_000)
         };
         let small = count_fp(256);
         let large = count_fp(4096);

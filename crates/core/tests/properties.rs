@@ -193,9 +193,11 @@ proptest! {
         c.scheme = Scheme::REBOUND;
         c.ckpt_interval_insts = 6_000;
         c.seed = seed;
+        c.fp_study = true;
         let mut m = Machine::from_profile(&c, &profile, 25_000);
         let r = m.run_to_completion();
         prop_assert!(r.metrics.ichk_sizes.max() <= 6.0);
+        prop_assert!(r.metrics.ichk_oracle_sizes.count() > 0);
         prop_assert!(r.metrics.ichk_oracle_sizes.max() <= 6.0);
         // The oracle closure can never exceed the bloom-edge closure
         // (false positives only ever add edges).
